@@ -7,8 +7,9 @@ rerun -- and records the wall-clocks under
 
 The determinism and warm-cache guarantees are asserted unconditionally;
 the >= 3x parallel-speedup bar only applies where the host actually has
-four cores to offer (single-core CI containers cannot speed anything up
-by forking, and the numbers are recorded either way).
+four cores to offer.  On a smaller host forking cannot speed anything
+up, so the speedup is recorded as ``"not measurable"`` rather than as a
+slowdown (the wall-clocks are recorded either way).
 """
 
 from __future__ import annotations
@@ -59,16 +60,20 @@ def sweep_campaign(cache_dir: str):
     parallel_s = timed(f"{N_WORKERS}_workers", n_workers=N_WORKERS)
     timed("cold_cache", n_workers=N_WORKERS, cache_dir=cache_dir)
     timed("warm_cache", n_workers=N_WORKERS, cache_dir=cache_dir)
+    speedup = (
+        round(serial_s / parallel_s, 2) if _cores() >= N_WORKERS
+        else "not measurable"
+    )
     rows.append(
         {
             "run": "speedup",
-            "wall_s": round(serial_s / parallel_s, 2),
+            "wall_s": speedup,
             "executed": "-",
             "cache_hits": "-",
             "utilization%": "-",
         }
     )
-    return rows, runs, serial_s / parallel_s
+    return rows, runs, speedup
 
 
 def test_campaign_speedup(benchmark, tmp_path):

@@ -13,24 +13,39 @@ the ones the paper sweeps for Fig. 6 -- are exposed:
 * which approximate 2x2 design is used (``leaf_mul``),
 * the adder cell and number of approximated LSBs in the partial-product
   summation adders (``adder_fa``, ``adder_approx_lsbs``).
+
+By default every node of up to ``PRODUCT_LUT_MAX_WIDTH`` bits is one
+gather from a read-only sub-product table, entry ``(a << w) | b``, built
+by the node's own arithmetic over all operand pairs from the four tables
+one level down (a 2x2 table is the leaf's truth table).  A table is
+keyed by what determines it -- node width, the 2x2 design of each leaf
+under the node, ``adder_fa`` and ``adder_approx_lsbs``, not the node's
+offsets -- so equal sub-trees share one array, in a process-wide cache
+of at most ``TABLE_CACHE_SIZE`` tables (oldest evicted first).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+import os
+import threading
+from collections import OrderedDict
+from typing import Callable, Dict, Hashable, Iterator, List, Tuple
 
 import numpy as np
 
 from ..adders.ripple import ApproximateRippleAdder
 from .mul2x2 import Mul2x2Spec, multiplier_2x2
 
-__all__ = ["RecursiveMultiplier", "LEAF_POLICIES", "PRODUCT_LUT_MAX_WIDTH"]
+__all__ = ["RecursiveMultiplier", "LEAF_POLICIES", "PRODUCT_LUT_MAX_WIDTH",
+           "TABLE_CACHE_SIZE"]
 
-#: Widest multiplier whose full product table is compiled in
-#: ``eval_mode="auto"``/``"lut"``: a width-8 table has ``2**16`` entries
-#: (one 512 KiB int64 array), built lazily with a single vectorized
-#: sweep of the reference recursion.
+#: Widest node evaluated as a sub-product table gather: a width-8 table
+#: has ``2**16`` entries (one 512 KiB int64 array).
 PRODUCT_LUT_MAX_WIDTH = 8
+
+#: Bound of the process-wide table cache: at most 32 MiB of width-8
+#: tables, reused across multipliers, campaign tasks and service jobs.
+TABLE_CACHE_SIZE = 64
 
 #: Named leaf policies: decide whether the 2x2 leaf at operand offsets
 #: ``(a_off, b_off)`` of a ``width``-bit multiplier is approximate.
@@ -41,6 +56,29 @@ LEAF_POLICIES: Dict[str, Callable[[int, int, int], bool]] = {
     # in the lower half of the final product (lpACLib's "Lit" variants).
     "low_half": lambda a_off, b_off, width: (a_off + b_off + 3) < width,
 }
+
+_TABLES: OrderedDict[Hashable, np.ndarray] = OrderedDict()
+_TABLES_LOCK = threading.Lock()
+
+
+def _new_tables_lock() -> None:
+    # A child forked while another thread held the lock would hang on it.
+    global _TABLES_LOCK
+    _TABLES_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_tables_lock)
+
+
+def _leaf_offsets(w: int, a_off: int, b_off: int) -> Iterator[Tuple[int, int]]:
+    """Operand offsets of the 2x2 leaves under a node, in recursion order."""
+    if w == 2:
+        yield a_off, b_off
+        return
+    h = w // 2
+    for da, db in ((0, 0), (0, h), (h, 0), (h, h)):
+        yield from _leaf_offsets(h, a_off + da, b_off + db)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -61,16 +99,14 @@ class RecursiveMultiplier:
         adder_approx_lsbs: Number of approximated LSBs in each summation
             adder (clamped to the adder's width).
         eval_mode: Evaluation engine.  ``"auto"`` (default) and
-            ``"lut"`` run the summation adders through the segment/LUT
-            fast path and additionally collapse multipliers up to
-            ``PRODUCT_LUT_MAX_WIDTH`` bits into one lazily-built product
-            table; ``"partsim"`` additionally collapses every
-            half-width-8 *quadrant* of a wider multiplier into its own
-            sub-product table (keyed by operand offsets, so each table
-            bakes in that quadrant's exact leaf-policy mix), replacing
-            the bottom three recursion levels with four gathers per
-            16-bit node; ``"loop"`` is the legacy cell-level reference.
-            All modes are bit-identical.
+            ``"partsim"`` evaluate every node of up to
+            ``PRODUCT_LUT_MAX_WIDTH`` bits as a gather from a shared,
+            hierarchically built sub-product table (see the module
+            docstring), so an 8x8 multiply is one gather and a 16x16
+            multiply four quadrant gathers plus three adds; ``"lut"``
+            is the full leaf recursion over segment-LUT summation
+            adders with no sub-product tables; ``"loop"`` is the legacy
+            cell-level reference.  All modes are bit-identical.
 
     Example:
         >>> mul = RecursiveMultiplier(8, leaf_mul="ApxMulOur")
@@ -109,8 +145,9 @@ class RecursiveMultiplier:
                 f"eval_mode must be one of {EVAL_MODES}, got {eval_mode!r}"
             )
         self.eval_mode = eval_mode
-        self._product_lut: np.ndarray | None = None
-        self._quad_luts: Dict[Tuple[int, int], np.ndarray] = {}
+        self._use_tables = eval_mode in ("auto", "partsim")
+        # Tables this instance has used, by node (width, a_off, b_off).
+        self._tables: Dict[Tuple[int, int, int], np.ndarray] = {}
         self.width = width
         self.leaf_mul = multiplier_2x2(leaf_mul)
         self.accurate_mul = multiplier_2x2("AccMul")
@@ -144,11 +181,10 @@ class RecursiveMultiplier:
     def _adder(self, width: int) -> ApproximateRippleAdder:
         """Summation adder of the given width (cached per width)."""
         if width not in self._adders:
-            # Inside the partsim multiplier the summation adders run in
-            # "auto": the segment-LUT + native-add path is faster than
-            # packing each partial product into partition words and the
-            # modes are bit-identical anyway.
-            mode = "auto" if self.eval_mode == "partsim" else self.eval_mode
+            # The table path ("auto", "partsim") sums with the segment-LUT
+            # adders: packing each partial product into partition words
+            # is slower, and the adder modes are bit-identical anyway.
+            mode = "auto" if self._use_tables else self.eval_mode
             self._adders[width] = ApproximateRippleAdder(
                 width,
                 approx_fa=self.adder_fa,
@@ -165,8 +201,17 @@ class RecursiveMultiplier:
     def _multiply_rec(
         self, a: np.ndarray, b: np.ndarray, w: int, a_off: int, b_off: int
     ) -> np.ndarray:
+        """Sub-product of the ``w``-bit node at ``(a_off, b_off)``."""
+        if self._use_tables and w <= PRODUCT_LUT_MAX_WIDTH:
+            return self._table(w, a_off, b_off)[(a << w) | b]
         if w == 2:
             return self._leaf(a_off, b_off).multiply(a, b)
+        return self._combine(a, b, w, a_off, b_off)
+
+    def _combine(
+        self, a: np.ndarray, b: np.ndarray, w: int, a_off: int, b_off: int
+    ) -> np.ndarray:
+        """One recursion level: four half-width products, three adds."""
         h = w // 2
         mask = (1 << h) - 1
         al, ah = a & mask, (a >> h) & mask
@@ -179,74 +224,38 @@ class RecursiveMultiplier:
         acc = self._adder(2 * w).add(p_hh << h, mid)  # aligned at << h
         return self._adder(2 * w).add(acc << h, p_ll)
 
-    def _build_product_lut(self) -> np.ndarray:
-        """Full product table, entry ``(a << width) | b``.
-
-        Built by one vectorized sweep of the reference recursion over
-        every operand pair, so it is bit-identical to the recursion by
-        construction.
-        """
-        n = 1 << self.width
-        a = np.repeat(np.arange(n, dtype=np.int64), n)
-        b = np.tile(np.arange(n, dtype=np.int64), n)
-        lut = self._multiply_rec(a, b, self.width, 0, 0)
-        lut.setflags(write=False)
-        return lut
-
-    def _quad_lut(self, a_off: int, b_off: int) -> np.ndarray:
-        """Sub-product table of the 8x8 quadrant at ``(a_off, b_off)``.
-
-        Entry ``(a << 8) | b`` holds the quadrant's 16-bit sub-product.
-        Built by one vectorized sweep of the reference recursion *at
-        those offsets*, so each table is bit-identical to the recursion
-        it replaces -- including the per-offset leaf-policy decisions.
-        """
-        key = (a_off, b_off)
-        if key not in self._quad_luts:
-            n = 1 << 8
-            a = np.repeat(np.arange(n, dtype=np.int64), n)
-            b = np.tile(np.arange(n, dtype=np.int64), n)
-            lut = self._multiply_rec(a, b, 8, a_off, b_off)
-            lut.setflags(write=False)
-            self._quad_luts[key] = lut
-        return self._quad_luts[key]
-
-    def _multiply_partsim(
-        self, a: np.ndarray, b: np.ndarray, w: int, a_off: int, b_off: int
-    ) -> np.ndarray:
-        """Recursion with 16-bit nodes evaluated as four quadrant gathers."""
-        h = w // 2
-        mask = (1 << h) - 1
-        al, ah = a & mask, (a >> h) & mask
-        bl, bh = b & mask, (b >> h) & mask
-        if h == 8:
-            p_ll = self._quad_lut(a_off, b_off)[(al << 8) | bl]
-            p_lh = self._quad_lut(a_off, b_off + h)[(al << 8) | bh]
-            p_hl = self._quad_lut(a_off + h, b_off)[(ah << 8) | bl]
-            p_hh = self._quad_lut(a_off + h, b_off + h)[(ah << 8) | bh]
-        else:
-            p_ll = self._multiply_partsim(al, bl, h, a_off, b_off)
-            p_lh = self._multiply_partsim(al, bh, h, a_off, b_off + h)
-            p_hl = self._multiply_partsim(ah, bl, h, a_off + h, b_off)
-            p_hh = self._multiply_partsim(ah, bh, h, a_off + h, b_off + h)
-        mid = self._adder(w).add(p_lh, p_hl)  # w+1 bits
-        acc = self._adder(2 * w).add(p_hh << h, mid)  # aligned at << h
-        return self._adder(2 * w).add(acc << h, p_ll)
+    def _table(self, w: int, a_off: int, b_off: int) -> np.ndarray:
+        """Sub-product table of a node (see the module docstring)."""
+        if w == 2:
+            return self._leaf(a_off, b_off).lut
+        node = (w, a_off, b_off)
+        table = self._tables.get(node)
+        if table is None:
+            leaves = tuple(
+                self._leaf(*off).name for off in _leaf_offsets(w, a_off, b_off)
+            )
+            key = (w, leaves, self.adder_fa, self.adder_approx_lsbs)
+            with _TABLES_LOCK:
+                table = _TABLES.get(key)
+            if table is None:
+                n = 1 << w
+                a = np.repeat(np.arange(n, dtype=np.int64), n)
+                b = np.tile(np.arange(n, dtype=np.int64), n)
+                table = self._combine(a, b, w, a_off, b_off)
+                table.setflags(write=False)
+                with _TABLES_LOCK:
+                    table = _TABLES.setdefault(key, table)
+                    while len(_TABLES) > TABLE_CACHE_SIZE:
+                        _TABLES.popitem(last=False)
+            self._tables[node] = table
+        return table
 
     def multiply(self, a, b) -> np.ndarray:
         """Approximate product of two ``width``-bit unsigned operands."""
         mask = (1 << self.width) - 1
         a = np.asarray(a, dtype=np.int64) & mask
         b = np.asarray(b, dtype=np.int64) & mask
-        if self.eval_mode != "loop" and self.width <= PRODUCT_LUT_MAX_WIDTH:
-            if self._product_lut is None:
-                self._product_lut = self._build_product_lut()
-            return np.asarray(
-                self._product_lut[(a << self.width) | b], dtype=np.int64
-            )
-        if self.eval_mode == "partsim":
-            return self._multiply_partsim(a, b, self.width, 0, 0)
-        return self._multiply_rec(a, b, self.width, 0, 0)
+        return np.asarray(self._multiply_rec(a, b, self.width, 0, 0))
 
     # ------------------------------------------------------------------
     # structural roll-ups
@@ -254,19 +263,9 @@ class RecursiveMultiplier:
     def leaf_counts(self) -> Dict[str, int]:
         """Number of 2x2 leaves per design name."""
         counts: Dict[str, int] = {}
-
-        def rec(w: int, a_off: int, b_off: int) -> None:
-            if w == 2:
-                name = self._leaf(a_off, b_off).name
-                counts[name] = counts.get(name, 0) + 1
-                return
-            h = w // 2
-            rec(h, a_off, b_off)
-            rec(h, a_off, b_off + h)
-            rec(h, a_off + h, b_off)
-            rec(h, a_off + h, b_off + h)
-
-        rec(self.width, 0, 0)
+        for a_off, b_off in _leaf_offsets(self.width, 0, 0):
+            name = self._leaf(a_off, b_off).name
+            counts[name] = counts.get(name, 0) + 1
         return counts
 
     def adder_widths(self) -> List[int]:

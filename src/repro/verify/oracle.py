@@ -702,7 +702,7 @@ def _recmul_oracles() -> List[Oracle]:
             operand_bits=(width, width),
             golden=_golden_mul(width),
             paths={
-                "lut": make("auto"),
+                "lut": make("lut"),
                 "loop": make("loop"),
                 "partsim": make("partsim"),
             },

@@ -281,26 +281,29 @@ class TestEvalModeWiring:
 
     @pytest.mark.parametrize("width", [4, 8, 16])
     def test_recursive_multiplier(self, width, rng):
-        ref = RecursiveMultiplier(width, leaf_mul="ApxMulOur")
-        ps = RecursiveMultiplier(
-            width, leaf_mul="ApxMulOur", eval_mode="partsim"
-        )
+        # "auto" and "partsim" share the sub-product table path, so it is
+        # held against the two table-free paths: the cell-level "loop"
+        # reference and the segment-LUT "lut" recursion.
         a = rng.integers(0, 1 << width, 5000)
         b = rng.integers(0, 1 << width, 5000)
-        assert np.array_equal(ref.multiply(a, b), ps.multiply(a, b))
+        got = RecursiveMultiplier(
+            width, leaf_mul="ApxMulOur", eval_mode="partsim"
+        ).multiply(a, b)
+        for mode in ("loop", "lut"):
+            ref = RecursiveMultiplier(width, leaf_mul="ApxMulOur", eval_mode=mode)
+            assert np.array_equal(ref.multiply(a, b), got), mode
 
     def test_recursive_multiplier_approx_adders(self, rng):
-        ref = RecursiveMultiplier(
-            16, leaf_mul="ApxMulSoA", leaf_policy="low_half",
+        config = dict(
+            leaf_mul="ApxMulSoA", leaf_policy="low_half",
             adder_fa="ApxFA1", adder_approx_lsbs=3,
-        )
-        ps = RecursiveMultiplier(
-            16, leaf_mul="ApxMulSoA", leaf_policy="low_half",
-            adder_fa="ApxFA1", adder_approx_lsbs=3, eval_mode="partsim",
         )
         a = rng.integers(0, 1 << 16, 5000)
         b = rng.integers(0, 1 << 16, 5000)
-        assert np.array_equal(ref.multiply(a, b), ps.multiply(a, b))
+        got = RecursiveMultiplier(16, eval_mode="partsim", **config).multiply(a, b)
+        for mode in ("loop", "lut"):
+            ref = RecursiveMultiplier(16, eval_mode=mode, **config)
+            assert np.array_equal(ref.multiply(a, b), got), mode
 
     @pytest.mark.parametrize("n_pixels", [1, 2, 16, 64])
     @pytest.mark.parametrize("fa, lsbs", [("AccuFA", 0), ("ApxFA2", 4)])
