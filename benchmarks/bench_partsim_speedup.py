@@ -19,6 +19,7 @@ The acceptance bar is 5x on both gated kernels:
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -36,12 +37,19 @@ FRAME = 256
 BLOCK = 8
 SEARCH = 4
 GATE = 5.0
+#: Runs per engine; each is timed as the median, so one host-steal
+#: episode cannot sink a row under the gate.
+REPEATS = 5
 
 
 def _timed(fn):
-    t0 = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - t0
+    """Result of ``fn`` and its median wall time over ``REPEATS`` runs."""
+    laps = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = fn()
+        laps.append(time.perf_counter() - t0)
+    return result, statistics.median(laps)
 
 
 def _row(kernel, baseline, base_s, partsim_s, identical):
@@ -124,6 +132,7 @@ def test_partsim_speedup(benchmark):
             "block_size": BLOCK,
             "search": SEARCH,
             "gate": GATE,
+            "repeats": REPEATS,
         },
     )
     assert all(r["bit_identical"] for r in rows), rows

@@ -1,18 +1,18 @@
-"""Campaign dispatch overhead: warm persistent pool vs process-per-attempt.
+"""Campaign dispatch overhead: warm persistent pool vs spawn-per-task.
 
-The hardened runner's process-per-attempt executor pays a fresh
-``multiprocessing.Process`` spawn for every task attempt.  For the
-small tasks that dominate service traffic and fine-grained sweeps
-(single-config analytic characterizations, ~0.2 ms of real work), the
-spawn is the bottleneck: interpreter setup + imports + pipe plumbing
-cost an order of magnitude more than the task.
+Spawning a fresh ``multiprocessing.Process`` for every task pays
+interpreter setup + pipe plumbing on each one.  For the small tasks
+that dominate service traffic and fine-grained sweeps (single-config
+analytic characterizations, ~0.2 ms of real work), the spawn would be
+the bottleneck: it costs an order of magnitude more than the task.
 
 This benchmark runs the **same sweep** (small unique analytic tasks,
-hardened with a per-task ``timeout_s``) through both engines of
-:func:`repro.campaign.run_campaign`:
+hardened with a per-task ``timeout_s``) two ways:
 
-* ``isolation="process"`` -- one spawned worker per attempt (baseline);
-* ``isolation="warm"``    -- the persistent pre-forked
+* ``spawn`` -- one fresh process per task, ``N_WORKERS`` at a time
+  (the minimal baseline in ``_spawn.py``);
+* ``warm``  -- :func:`repro.campaign.run_campaign`, which streams the
+  tasks over its persistent pre-forked
   :class:`~repro.campaign.warmpool.WarmPool` with micro-batched
   dispatch.
 
@@ -31,6 +31,7 @@ import time
 
 from repro.campaign import CampaignTask, run_campaign
 
+from _spawn import spawn_per_task
 from _util import emit
 
 N_TASKS = 64
@@ -48,43 +49,45 @@ def _tasks():
     ]
 
 
-def _run(isolation: str):
+def _timed(run):
     start = time.perf_counter()
+    results = run()
+    return results, time.perf_counter() - start
+
+
+def _warm():
     result = run_campaign(
-        _tasks(),
-        n_workers=N_WORKERS,
-        timeout_s=TIMEOUT_S,
-        isolation=isolation,
+        _tasks(), n_workers=N_WORKERS, timeout_s=TIMEOUT_S
     )
-    wall_s = time.perf_counter() - start
-    assert result.ok, f"{isolation} sweep quarantined: {result.failures}"
-    return result, wall_s
+    assert result.ok, f"warm sweep quarantined: {result.failures}"
+    return result.results
+
+
+def _spawn():
+    return spawn_per_task(
+        _tasks(), n_workers=N_WORKERS, timeout_s=TIMEOUT_S
+    )
 
 
 def bench():
     # Warm-up both engines once so neither pays one-off import costs
     # inside the measured window.
-    run_campaign(
-        [CampaignTask("analytic", {"n": 8, "r": 2, "p": 2}, seed=1)],
-        n_workers=1, timeout_s=TIMEOUT_S, isolation="process",
-    )
-    run_campaign(
-        [CampaignTask("analytic", {"n": 8, "r": 2, "p": 2}, seed=1)],
-        n_workers=1, timeout_s=TIMEOUT_S, isolation="warm",
-    )
+    warmup = [CampaignTask("analytic", {"n": 8, "r": 2, "p": 2}, seed=1)]
+    spawn_per_task(warmup, timeout_s=TIMEOUT_S)
+    run_campaign(warmup, n_workers=1, timeout_s=TIMEOUT_S)
 
-    process_result, process_s = _run("process")
-    warm_result, warm_s = _run("warm")
+    spawn_results, spawn_s = _timed(_spawn)
+    warm_results, warm_s = _timed(_warm)
 
-    bit_identical = process_result.results == warm_result.results
-    speedup = process_s / warm_s if warm_s > 0 else float("inf")
+    bit_identical = spawn_results == warm_results
+    speedup = spawn_s / warm_s if warm_s > 0 else float("inf")
     rows = [
         {
-            "engine": "process",
+            "engine": "spawn",
             "tasks": N_TASKS,
-            "wall_s": round(process_s, 4),
-            "ms_per_task": round(1e3 * process_s / N_TASKS, 3),
-            "jobs_per_s": round(N_TASKS / process_s, 1),
+            "wall_s": round(spawn_s, 4),
+            "ms_per_task": round(1e3 * spawn_s / N_TASKS, 3),
+            "jobs_per_s": round(N_TASKS / spawn_s, 1),
         },
         {
             "engine": "warm",
@@ -97,12 +100,10 @@ def bench():
         },
     ]
 
-    assert bit_identical, (
-        "warm-pool results diverge from process-per-attempt"
-    )
+    assert bit_identical, "warm-pool results diverge from spawn-per-task"
     assert speedup >= GATE_MIN_SPEEDUP, (
         f"warm-pool speedup {speedup:.2f}x < gate {GATE_MIN_SPEEDUP}x "
-        f"(process {process_s:.3f}s vs warm {warm_s:.3f}s)"
+        f"(spawn {spawn_s:.3f}s vs warm {warm_s:.3f}s)"
     )
     return rows
 

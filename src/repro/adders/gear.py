@@ -30,12 +30,12 @@ import numpy as np
 
 __all__ = ["GeArConfig", "GeArAdder", "GEAR_EVAL_MODES"]
 
-#: Evaluation engines for :class:`GeArAdder.add`: ``"auto"``/``"window"``
-#: is the vectorized int64 window equation; ``"partsim"`` packs several
+#: Evaluation engines for :class:`GeArAdder.add`: ``"auto"`` is the
+#: vectorized int64 window equation; ``"partsim"`` packs several
 #: additions per uint64 word and evaluates every sub-adder window as a
 #: masked word operation (:mod:`repro.datapath.partsim`).  Both are
 #: bit-identical (proven via the ``gear`` oracle family).
-GEAR_EVAL_MODES = ("auto", "window", "partsim")
+GEAR_EVAL_MODES = ("auto", "partsim")
 
 
 def _as_int_array(x) -> np.ndarray:

@@ -18,13 +18,12 @@ Entry points:
   the built-in characterization workloads
   (:mod:`repro.campaign.registry`);
 * :func:`run_campaign` -- the parallel, crash-hardened runner
-  (per-attempt process isolation, timeouts, backoff retries,
-  quarantine) returning per-task results, :class:`CampaignStats`, and
-  structured :class:`TaskFailure` records
-  (:mod:`repro.campaign.runner`);
-* :class:`WarmPool` -- the persistent pre-forked execution engine
-  behind ``isolation="warm"``: same fault semantics, milliseconds less
-  dispatch overhead per task (:mod:`repro.campaign.warmpool`).
+  (worker-process isolation, timeouts, backoff retries, quarantine)
+  returning per-task results, :class:`CampaignStats`, and structured
+  :class:`TaskFailure` records (:mod:`repro.campaign.runner`);
+* :class:`WarmPool` -- the persistent pre-forked worker pool that runs
+  every isolated campaign and every service job
+  (:mod:`repro.campaign.warmpool`).
 
 The higher-level sweeps (:func:`repro.dse.explorer.explore_gear_space`,
 :func:`repro.adders.characterize.characterize_ripple_family`,

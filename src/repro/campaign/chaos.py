@@ -80,8 +80,8 @@ def _chaos_hang(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 def _chaos_stubborn(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """Ignores SIGTERM and then hangs: only SIGKILL reclaims the worker.
 
-    Exercises the reaper's terminate-then-kill escalation path (both
-    the process-per-attempt reaper and warm-pool recycling).
+    Exercises the terminate-then-kill escalation of warm-pool
+    recycling.
     """
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     time.sleep(float(params.get("sleep_s", 3600.0)))

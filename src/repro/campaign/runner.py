@@ -1,8 +1,9 @@
 """Parallel, cached, resumable -- and crash-hardened -- campaign runner.
 
 :func:`run_campaign` takes a list of :class:`CampaignTask` and returns
-one result per task (input order preserved), fanning uncached tasks out
-over isolated worker processes:
+one result per task (input order preserved), streaming uncached tasks
+over a pool of warm worker processes
+(:class:`~repro.campaign.warmpool.WarmPool`):
 
 * **Caching** -- with a ``cache_dir``, every completed task is persisted
   to a :class:`~repro.campaign.cache.ResultCache` keyed by the stable
@@ -15,19 +16,21 @@ over isolated worker processes:
   the task identity, see :func:`~repro.campaign.task.derive_seed`), so
   results are bit-identical for any worker count, submission order, or
   kill/resume history.
-* **Fault containment** -- every task attempt runs in its own worker
-  process (whenever ``n_workers > 1`` or a ``timeout_s`` is set), so a
-  task that raises, wedges, or outright kills its worker cannot abort
-  the sweep.  Raising tasks become structured
-  :class:`TaskFailure` records; hanging tasks are killed at
-  ``timeout_s`` (and an attempt that *completes* over the limit by the
+* **Fault containment** -- whenever ``n_workers > 1`` (with more than
+  one task to run) or a ``timeout_s`` is set, tasks run in the pool's
+  worker processes, so a task that raises, wedges, or outright kills
+  its worker cannot abort the sweep; otherwise they run serially in
+  process, the reference the pool's results are tested against.
+  Raising tasks become structured :class:`TaskFailure` records; a
+  worker hanging past ``timeout_s`` (or dying under its task) is killed
+  and replaced (an attempt that *completes* over the limit by the
   worker's own clock is rejected as a timeout too, so verdicts do not
   depend on parent polling latency); failing tasks retry up to
-  ``max_attempts`` times with
-  exponential backoff plus deterministic jitter; a task still failing
-  after its last attempt is **quarantined** (its result slot stays
-  ``None``) and the campaign runs to completion.  Opt back into the old
-  fail-fast behaviour with ``raise_on_error=True``.
+  ``max_attempts`` times with exponential backoff plus deterministic
+  jitter; a task still failing after its last attempt is
+  **quarantined** (its result slot stays ``None``) and the campaign
+  runs to completion.  Opt back into the old fail-fast behaviour with
+  ``raise_on_error=True``.
 * **Metrics** -- a :class:`CampaignStats` records tasks done, cache
   hits, retries, timeouts, crashes, quarantines, wall-clock, aggregate
   in-task compute time, and the implied worker utilization; a
@@ -39,13 +42,8 @@ Duplicate tasks (same stable hash) are executed once and their result
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
-import os
 import random
 import time
-import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -66,18 +64,6 @@ ProgressCallback = Callable[[int, int], None]
 
 #: Version tag of the machine-readable failure report layout.
 FAILURE_REPORT_SCHEMA_VERSION = 1
-
-#: Environment knob for the default execution engine of isolated
-#: campaigns: ``process`` (process-per-attempt, the default) or
-#: ``warm`` (persistent pre-forked pool, see
-#: :mod:`repro.campaign.warmpool`).  Explicit ``isolation=`` arguments
-#: always win over the environment.
-ISOLATION_ENV_VAR = "REPRO_CAMPAIGN_ISOLATION"
-
-_ISOLATION_MODES = ("process", "warm")
-
-#: Grace period between SIGTERM and SIGKILL when reaping a worker.
-_KILL_GRACE_S = 0.25
 
 
 class CampaignTaskError(RuntimeError):
@@ -153,10 +139,8 @@ class CampaignStats:
         n_quarantined: Tasks that exhausted every attempt.
         wall_s: End-to-end wall-clock of the campaign.
         task_s: Summed in-task compute time of executed tasks.
-        isolation: Execution engine used for isolated tasks --
-            ``"process"`` (process-per-attempt) or ``"warm"``
-            (persistent worker pool); ``"process"`` also covers the
-            serial in-process fast path.
+        isolation: Where the tasks ran -- ``"warm"`` (worker pool) or
+            ``"serial"`` (in-process).
     """
 
     n_tasks: int = 0
@@ -170,7 +154,7 @@ class CampaignStats:
     n_quarantined: int = 0
     wall_s: float = 0.0
     task_s: float = 0.0
-    isolation: str = "process"
+    isolation: str = "serial"
 
     @property
     def worker_utilization(self) -> float:
@@ -235,28 +219,8 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
-# isolated execution
+# attempts and retries
 # ----------------------------------------------------------------------
-
-def _attempt_worker(task: CampaignTask, conn) -> None:
-    """Child-process body: run one task attempt, report through the pipe."""
-    try:
-        start = time.perf_counter()
-        result = execute_task(task)
-        conn.send(("ok", result, time.perf_counter() - start))
-    except BaseException as exc:  # noqa: BLE001 - crossing a process edge
-        try:
-            conn.send((
-                "error",
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(limit=20),
-            ))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
 
 def _backoff_delay(
     task: CampaignTask, attempt: int,
@@ -275,230 +239,6 @@ class _Pending:
     attempt: int = 1
     not_before: float = 0.0
     failures: List[TaskAttemptFailure] = field(default_factory=list)
-
-
-@dataclass
-class _Running:
-    slot: _Pending
-    process: multiprocessing.process.BaseProcess
-    conn: Any
-    started: float
-    deadline: Optional[float]
-
-
-def _record_attempt_failure(
-    slot: _Pending,
-    failure: TaskAttemptFailure,
-    pending: deque,
-    on_quarantine: Callable[[_Pending], None],
-    stats: CampaignStats,
-    max_attempts: int,
-    backoff_base_s: float,
-    backoff_max_s: float,
-) -> None:
-    """Charge one failed attempt: requeue with backoff or quarantine.
-
-    Shared by the process-per-attempt executor and the warm-pool
-    scheduler so retry accounting and backoff scheduling stay
-    bit-identical across engines.
-    """
-    slot.failures.append(failure)
-    if slot.attempt < max_attempts:
-        stats.n_retries += 1
-        delay = _backoff_delay(
-            slot.task, slot.attempt, backoff_base_s, backoff_max_s
-        )
-        slot.attempt += 1
-        slot.not_before = time.monotonic() + delay
-        pending.append(slot)
-    else:
-        on_quarantine(slot)
-
-
-def _reap(running: _Running) -> None:
-    """Terminate (then kill) one worker and release its resources."""
-    process = running.process
-    if process.is_alive():
-        process.terminate()
-        process.join(_KILL_GRACE_S)
-        if process.is_alive():
-            process.kill()
-            process.join()
-    else:
-        process.join()
-    running.conn.close()
-
-
-class _IsolatedExecutor:
-    """Process-per-attempt executor with timeouts, retries, quarantine."""
-
-    def __init__(
-        self,
-        n_workers: int,
-        timeout_s: Optional[float],
-        max_attempts: int,
-        backoff_base_s: float,
-        backoff_max_s: float,
-        stats: CampaignStats,
-    ) -> None:
-        self.context = multiprocessing.get_context()
-        self.n_workers = max(1, n_workers)
-        self.timeout_s = timeout_s
-        self.max_attempts = max(1, max_attempts)
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
-        self.stats = stats
-
-    def run(
-        self,
-        to_run: List[Tuple[int, CampaignTask]],
-        on_success: Callable[[int, Any, float], None],
-        on_quarantine: Callable[[_Pending], None],
-    ) -> None:
-        pending = deque(_Pending(index, task) for index, task in to_run)
-        running: List[_Running] = []
-        try:
-            while pending or running:
-                self._launch_eligible(pending, running)
-                self._wait(pending, running)
-                for entry in list(running):
-                    outcome = self._poll(entry)
-                    if outcome is None:
-                        continue
-                    running.remove(entry)
-                    kind, payload = outcome
-                    if kind == "ok":
-                        result, elapsed = payload
-                        on_success(entry.slot.index, result, elapsed)
-                    else:
-                        self._record_failure(
-                            entry, payload, pending, on_quarantine
-                        )
-        finally:
-            for entry in running:
-                _reap(entry)
-
-    # -- scheduling ----------------------------------------------------
-
-    def _launch_eligible(
-        self, pending: deque, running: List[_Running]
-    ) -> None:
-        now = time.monotonic()
-        # Rotate through pending once, launching every eligible slot.
-        for _ in range(len(pending)):
-            if len(running) >= self.n_workers:
-                break
-            slot = pending.popleft()
-            if slot.not_before > now:
-                pending.append(slot)
-                continue
-            parent_conn, child_conn = self.context.Pipe(duplex=False)
-            process = self.context.Process(
-                target=_attempt_worker,
-                args=(slot.task, child_conn),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            deadline = (
-                now + self.timeout_s if self.timeout_s is not None else None
-            )
-            running.append(_Running(slot, process, parent_conn, now, deadline))
-
-    def _wait(self, pending: deque, running: List[_Running]) -> None:
-        now = time.monotonic()
-        horizon = 0.2
-        for entry in running:
-            if entry.deadline is not None:
-                horizon = min(horizon, entry.deadline - now)
-        for slot in pending:
-            if slot.not_before > now:
-                horizon = min(horizon, slot.not_before - now)
-        horizon = max(0.005, horizon)
-        conns = [entry.conn for entry in running]
-        if conns:
-            multiprocessing.connection.wait(conns, timeout=horizon)
-        elif pending:
-            time.sleep(horizon)
-
-    # -- harvesting ----------------------------------------------------
-
-    def _poll(self, entry: _Running) -> Optional[Tuple[str, Any]]:
-        """Completed outcome of one running attempt, or ``None``."""
-        now = time.monotonic()
-        elapsed = now - entry.started
-        message: Optional[tuple] = None
-        if entry.conn.poll():
-            try:
-                message = entry.conn.recv()
-            except (EOFError, OSError):
-                message = None  # died mid-send: treat as a crash
-        if message is not None:
-            _reap(entry)
-            if message[0] == "ok":
-                task_elapsed = message[2]
-                if (
-                    self.timeout_s is not None
-                    and task_elapsed > self.timeout_s
-                ):
-                    # The attempt finished, but over budget.  Judging by
-                    # the worker's own clock (not the harvest deadline)
-                    # keeps the verdict independent of parent polling
-                    # latency: a result that beats the pipe to the first
-                    # poll does not dodge its timeout.
-                    self.stats.n_timeouts += 1
-                    return "fail", TaskAttemptFailure(
-                        attempt=entry.slot.attempt,
-                        outcome="timeout",
-                        error_type=None,
-                        message=(
-                            f"attempt exceeded timeout_s={self.timeout_s}"
-                        ),
-                        elapsed_s=task_elapsed,
-                    )
-                return "ok", (message[1], task_elapsed)
-            _, error_type, text, trace = message
-            return "fail", TaskAttemptFailure(
-                attempt=entry.slot.attempt,
-                outcome="error",
-                error_type=error_type,
-                message=(text or trace.strip().splitlines()[-1])[:500],
-                elapsed_s=elapsed,
-            )
-        if not entry.process.is_alive():
-            exitcode = entry.process.exitcode
-            _reap(entry)
-            self.stats.n_crashes += 1
-            return "fail", TaskAttemptFailure(
-                attempt=entry.slot.attempt,
-                outcome="crash",
-                error_type=None,
-                message=f"worker died with exit code {exitcode}",
-                elapsed_s=elapsed,
-            )
-        if entry.deadline is not None and now >= entry.deadline:
-            _reap(entry)
-            self.stats.n_timeouts += 1
-            return "fail", TaskAttemptFailure(
-                attempt=entry.slot.attempt,
-                outcome="timeout",
-                error_type=None,
-                message=f"attempt exceeded timeout_s={self.timeout_s}",
-                elapsed_s=elapsed,
-            )
-        return None
-
-    def _record_failure(
-        self,
-        entry: _Running,
-        failure: TaskAttemptFailure,
-        pending: deque,
-        on_quarantine: Callable[[_Pending], None],
-    ) -> None:
-        _record_attempt_failure(
-            entry.slot, failure, pending, on_quarantine, self.stats,
-            self.max_attempts, self.backoff_base_s, self.backoff_max_s,
-        )
 
 
 def _run_in_process(
@@ -540,13 +280,11 @@ def run_campaign(
     n_workers: int = 1,
     cache_dir: str | None = None,
     progress: Optional[ProgressCallback] = None,
-    chunksize: int = 1,
     timeout_s: Optional[float] = None,
     max_attempts: int = 1,
     backoff_base_s: float = 0.1,
     backoff_max_s: float = 5.0,
     raise_on_error: bool = False,
-    isolation: Optional[str] = None,
     warm_pool: Optional[Any] = None,
     deadline_s: Optional[float] = None,
 ) -> CampaignResult:
@@ -555,9 +293,9 @@ def run_campaign(
     Args:
         tasks: Tasks to evaluate; results come back in the same order.
         n_workers: Concurrent worker processes; ``<= 1`` runs serially
-            (in-process unless ``timeout_s`` forces isolation; results
-            are identical either way -- seeds are per-task, not
-            per-worker).
+            (in-process unless ``timeout_s`` or ``warm_pool`` puts the
+            tasks on a pool; results are identical either way -- seeds
+            are per-task, not per-worker).
         cache_dir: Optional result-cache directory.  Enables warm-start
             (cached tasks are skipped) and checkpointing (each finished
             task is persisted immediately, so an interrupted campaign
@@ -565,14 +303,11 @@ def run_campaign(
         progress: Optional ``progress(done, total)`` callback, invoked
             after the cache scan and after every completed (or
             quarantined) task.
-        chunksize: Deprecated; retained for API compatibility and
-            ignored (each attempt is dispatched individually so it can
-            be timed out and reaped).
         timeout_s: Per-attempt wall-clock limit.  An attempt past the
             limit is killed and counted as a ``timeout`` failure; an
             attempt that completes but reports a task runtime over the
             limit is rejected as a timeout as well.  Setting this
-            forces process isolation even at ``n_workers=1``.
+            runs the tasks on a worker pool even at ``n_workers=1``.
         max_attempts: Total attempts per task before quarantine
             (1 = no retry).
         backoff_base_s: First retry delay; doubles per further attempt.
@@ -580,15 +315,6 @@ def run_campaign(
         raise_on_error: Re-raise as :class:`CampaignTaskError` when a
             task fails permanently, instead of quarantining it (the
             pre-hardening fail-fast behaviour).
-        isolation: Execution engine for isolated attempts --
-            ``"process"`` spawns a fresh worker per attempt (default;
-            strongest containment), ``"warm"`` streams tasks over the
-            persistent pre-forked :class:`~repro.campaign.warmpool.WarmPool`
-            (same fault semantics, milliseconds less dispatch overhead
-            per task).  ``None`` reads the ``REPRO_CAMPAIGN_ISOLATION``
-            environment variable (default ``"process"``); passing
-            ``warm_pool`` implies ``"warm"``.  Results are bit-identical
-            across engines.
         warm_pool: Optional already-started
             :class:`~repro.campaign.warmpool.WarmPool` to execute on
             (e.g. the service's shared pool); the campaign leases its
@@ -603,19 +329,9 @@ def run_campaign(
         :class:`CampaignResult` with per-task results, run stats, and
         the structured failures of quarantined tasks.
     """
-    del chunksize  # accepted for compatibility; dispatch is per-attempt
     if deadline_s is not None:
         timeout_s = (
             deadline_s if timeout_s is None else min(timeout_s, deadline_s)
-        )
-    if isolation is None:
-        if warm_pool is not None:
-            isolation = "warm"
-        else:
-            isolation = os.environ.get(ISOLATION_ENV_VAR, "process")
-    if isolation not in _ISOLATION_MODES:
-        raise ValueError(
-            f"isolation must be one of {_ISOLATION_MODES}, got {isolation!r}"
         )
     task_list = list(tasks)
     for task in task_list:
@@ -693,8 +409,7 @@ def run_campaign(
 
     to_run = [(indices[0], task_list[indices[0]]) for indices in pending.values()]
     isolate = timeout_s is not None or (n_workers > 1 and len(to_run) > 1)
-    use_warm = isolation == "warm" and (warm_pool is not None or isolate)
-    if use_warm:
+    if warm_pool is not None or isolate:
         from .warmpool import WarmPool
 
         stats.isolation = "warm"
@@ -714,16 +429,6 @@ def run_campaign(
         finally:
             if owned:
                 pool.close()
-    elif isolate:
-        executor = _IsolatedExecutor(
-            n_workers=n_workers,
-            timeout_s=timeout_s,
-            max_attempts=max_attempts,
-            backoff_base_s=backoff_base_s,
-            backoff_max_s=backoff_max_s,
-            stats=stats,
-        )
-        executor.run(to_run, complete, quarantine)
     else:
         for index, task in to_run:
             slot = _Pending(index, task)

@@ -1,12 +1,11 @@
-"""Warm persistent worker pool: amortized process isolation.
+"""Warm persistent worker pool: the campaign engine for isolated work.
 
-The hardened runner's process-per-attempt executor
-(:class:`repro.campaign.runner._IsolatedExecutor`) buys airtight fault
-containment at a steep price: every attempt pays a full
-``multiprocessing.Process`` spawn (fork + pipe setup + scheduler churn,
-milliseconds) before the task -- often hundreds of microseconds of real
-work -- even starts.  For the short tasks that dominate service traffic
-and fine-grained sweeps, dispatch is the bottleneck, not compute.
+Spawning a fresh ``multiprocessing.Process`` per task attempt buys
+fault containment at a steep price: every attempt pays a full spawn
+(fork + pipe setup + scheduler churn, milliseconds) before the task --
+often hundreds of microseconds of real work -- even starts.  For the
+short tasks that dominate service traffic and fine-grained sweeps,
+dispatch would be the bottleneck, not compute.
 
 :class:`WarmPool` keeps the containment and kills the overhead:
 
@@ -24,19 +23,19 @@ and fine-grained sweeps, dispatch is the bottleneck, not compute.
   fresh worker forked in its place; tasks queued behind the dead head
   migrate to the replacement without being charged an attempt.  Retry,
   deterministic backoff, quarantine, and the
-  :class:`~repro.campaign.runner.TaskFailure` schema are bit-identical
-  to the process-per-attempt executor's.
+  :class:`~repro.campaign.runner.TaskFailure` schema match the serial
+  in-process path of :func:`~repro.campaign.runner.run_campaign`.
 * **Two front-ends** -- the single-threaded campaign scheduler
   (:meth:`WarmPool.run_tasks`, used by
-  :func:`~repro.campaign.runner.run_campaign` under
-  ``isolation="warm"``) and a thread-safe lease API
+  :func:`~repro.campaign.runner.run_campaign` for every campaign that
+  needs isolation) and a thread-safe lease API
   (:meth:`WarmPool.execute`) for concurrent submitters such as the
   service's worker bridge (:mod:`repro.service.workers`).
 
-Worker state *persists across tasks* in this mode -- that is the whole
-point -- so process-per-attempt (``isolation="process"``) remains the
-default and the right choice for chaos-prone or quarantine-heavy task
-kinds where a contaminated interpreter must not outlive an attempt.
+Worker state *persists across tasks* -- that is the whole point.  A
+worker whose task crashed it or ran past its timeout is recycled
+before it serves another task; a task that merely raises leaves its
+worker serving.
 """
 
 from __future__ import annotations
@@ -188,9 +187,9 @@ def _classify_message(
     """Map one worker message to ``("ok", (result, task_elapsed))`` or
     ``("fail", TaskAttemptFailure)``.
 
-    Verdicts match the hardened runner bit for bit, including rejecting
-    an attempt that *completed* over budget by the worker's own clock
-    (so timeout verdicts never depend on parent polling latency).
+    An attempt that *completed* over budget by the worker's own clock
+    is rejected as a timeout, so verdicts never depend on parent
+    polling latency.
     """
     from .runner import TaskAttemptFailure
 
@@ -221,7 +220,7 @@ class WarmPool:
             has executed this many tasks is recycled at the next idle
             moment, bounding cross-task state accumulation.
         context: ``multiprocessing`` context (defaults to the platform
-            default, matching the hardened runner).
+            default).
 
     The pool is a context manager; :meth:`close` (or ``with``-exit)
     kills every worker.  Counters (:attr:`n_spawned`,
@@ -499,12 +498,11 @@ class WarmPool:
     ) -> None:
         """Stream a campaign's unique tasks over the warm workers.
 
-        Single-threaded scheduler with the exact retry / timeout /
-        quarantine semantics of the process-per-attempt executor, but
-        dispatching micro-batches onto persistent workers.  Checks
-        every worker out of the lease queue for the duration, so a pool
-        shared with a service bridge is driven safely by one front-end
-        at a time per worker.
+        Single-threaded scheduler with per-attempt timeouts, retries
+        and quarantine, dispatching micro-batches onto persistent
+        workers.  Checks every worker out of the lease queue for the
+        duration, so a pool shared with a service bridge is driven
+        safely by one front-end at a time per worker.
         """
         workers = [self._lease() for _ in range(self.n_workers)]
         scheduler = _WarmScheduler(
@@ -696,7 +694,8 @@ class _WarmScheduler:
     def _fail_head(
         self, i, failure, pending, on_quarantine, requeue_rest=False
     ) -> None:
-        from .runner import _record_attempt_failure
+        """Requeue the failed head with backoff, or quarantine it."""
+        from .runner import _backoff_delay
 
         state = self.states[i]
         slot = state.slots.popleft()
@@ -706,10 +705,18 @@ class _WarmScheduler:
             while state.slots:
                 pending.appendleft(state.slots.pop())
         state.head_started = time.monotonic()
-        _record_attempt_failure(
-            slot, failure, pending, on_quarantine, self.stats,
-            self.max_attempts, self.backoff_base_s, self.backoff_max_s,
-        )
+        slot.failures.append(failure)
+        if slot.attempt < self.max_attempts:
+            self.stats.n_retries += 1
+            delay = _backoff_delay(
+                slot.task, slot.attempt,
+                self.backoff_base_s, self.backoff_max_s,
+            )
+            slot.attempt += 1
+            slot.not_before = time.monotonic() + delay
+            pending.append(slot)
+        else:
+            on_quarantine(slot)
 
     def _replace(self, i: int) -> Optional[int]:
         """Recycle worker ``i`` in place; returns the old exit code."""

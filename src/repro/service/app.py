@@ -81,11 +81,9 @@ DEFAULT_TENANT = "public"
 class ServiceConfig:
     """Deployment knobs of one :class:`ServiceApp`.
 
-    ``isolation`` selects the execution engine behind the worker pool:
-    ``"warm"`` (default) runs jobs on a persistent pre-forked
-    :class:`~repro.campaign.warmpool.WarmPool`; ``"process"`` spawns a
-    fresh worker process per attempt (``chaos_*`` kinds always use the
-    process engine regardless).  ``shutdown_grace_s`` bounds how long
+    Jobs run on a persistent pre-forked
+    :class:`~repro.campaign.warmpool.WarmPool` of ``n_workers``
+    processes.  ``shutdown_grace_s`` bounds how long
     :meth:`ServiceApp.stop` waits for in-flight jobs before failing
     them with a terminal ``shutdown`` event.
 
@@ -111,7 +109,6 @@ class ServiceConfig:
     allow_chaos: bool = False
     max_jobs_retained: int = 10_000
     clock: Optional[Callable[[], float]] = None
-    isolation: str = "warm"
     shutdown_grace_s: float = 5.0
     state_dir: Optional[str] = None
     wall_clock: Optional[Callable[[], float]] = None
@@ -150,11 +147,7 @@ class ServiceApp:
             clock=self.tenants.clock,
             enabled=self.config.slo is not None,
         )
-        self.pool = WorkerPool(
-            self,
-            n_workers=self.config.n_workers,
-            isolation=self.config.isolation,
-        )
+        self.pool = WorkerPool(self, n_workers=self.config.n_workers)
         self.jobs: Dict[str, Job] = {}
         self._job_order: List[str] = []
         self._next_job = 0

@@ -103,7 +103,8 @@ class TokenBucket:
         """Take ``n`` tokens if available; never blocks."""
         self._refill()
         if self._tokens + 1e-12 >= n:
-            self._tokens -= n
+            # The tolerance absorbs refill rounding; never go below 0.
+            self._tokens = max(0.0, self._tokens - n)
             return True
         return False
 

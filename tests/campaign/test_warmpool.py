@@ -1,13 +1,13 @@
 """Chaos tests for the warm persistent worker-pool execution engine.
 
-The warm engine (``isolation="warm"``) replaces process-per-attempt
-spawning with long-lived pre-forked workers, so its failure modes are
-different: a hung task wedges a *shared* worker, a SIGKILLed task
-takes the worker down with it, and both must be answered by recycling
-(kill + respawn) without disturbing sibling tasks streaming through
-the other workers.  These tests pin that behavior -- and pin the
-contract that warm results and failure records are bit-identical to
-the process engine's.
+The warm engine runs every campaign that needs isolation on long-lived
+pre-forked workers, so its failure modes are those of shared workers:
+a hung task wedges a worker, a SIGKILLed task takes the worker down
+with it, and both must be answered by recycling (kill + respawn)
+without disturbing sibling tasks streaming through the other workers.
+These tests pin that behavior -- and pin the contract that warm
+results and failure records are bit-identical to the serial in-process
+reference's.
 """
 
 from __future__ import annotations
@@ -26,39 +26,32 @@ def _analytic(seed, n=8):
 
 
 class TestBitIdentity:
-    def test_warm_matches_process_engine_bit_for_bit(self):
+    def test_warm_matches_serial_reference_bit_for_bit(self):
         tasks = [_analytic(s) for s in range(6)] + \
             [_analytic(s, n=12) for s in range(3)] + \
             [_ok(i) for i in range(3)]
-        process = run_campaign(
-            tasks, n_workers=2, timeout_s=30.0, isolation="process"
-        )
-        warm = run_campaign(
-            tasks, n_workers=2, timeout_s=30.0, isolation="warm"
-        )
-        assert process.ok and warm.ok
-        assert process.results == warm.results
-        assert process.stats.isolation == "process"
+        serial = run_campaign(tasks)
+        warm = run_campaign(tasks, n_workers=2, timeout_s=30.0)
+        assert serial.ok and warm.ok
+        assert serial.results == warm.results
+        assert serial.stats.isolation == "serial"
         assert warm.stats.isolation == "warm"
 
-    def test_warm_failure_records_match_process_schema(self):
+    def test_warm_failure_records_match_serial_schema(self):
         tasks = [CampaignTask("chaos_error", {}), _ok(2)]
-        process = run_campaign(
-            tasks, n_workers=2, timeout_s=10.0,
-            max_attempts=2, backoff_base_s=0.01, isolation="process",
-        )
+        serial = run_campaign(tasks, max_attempts=2, backoff_base_s=0.01)
         warm = run_campaign(
             tasks, n_workers=2, timeout_s=10.0,
-            max_attempts=2, backoff_base_s=0.01, isolation="warm",
+            max_attempts=2, backoff_base_s=0.01,
         )
-        p_rec = process.failures[0].to_record()
+        s_rec = serial.failures[0].to_record()
         w_rec = warm.failures[0].to_record()
         # Wall-clock fields differ; everything structured must match.
-        for record in (p_rec, w_rec):
+        for record in (s_rec, w_rec):
             for attempt in record["attempts"]:
                 attempt.pop("elapsed_s")
-        assert p_rec == w_rec
-        assert warm.stats.n_retries == process.stats.n_retries == 1
+        assert s_rec == w_rec
+        assert warm.stats.n_retries == serial.stats.n_retries == 1
 
 
 class TestRecycling:
@@ -68,8 +61,7 @@ class TestRecycling:
             tasks = [CampaignTask("chaos_hang", {"sleep_s": 60.0})] + \
                 [_ok(i) for i in range(4)]
             result = run_campaign(
-                tasks, n_workers=2, timeout_s=0.5,
-                isolation="warm", warm_pool=pool,
+                tasks, n_workers=2, timeout_s=0.5, warm_pool=pool,
             )
             assert result.results[1:] == [
                 {"value": i * i, "seed": 0} for i in range(4)
@@ -81,9 +73,7 @@ class TestRecycling:
             assert result.stats.n_timeouts == 1
             assert pool.n_recycled >= 1
             # The respawned worker serves follow-up work on the same pool.
-            again = run_campaign(
-                [_ok(9)], timeout_s=5.0, isolation="warm", warm_pool=pool
-            )
+            again = run_campaign([_ok(9)], timeout_s=5.0, warm_pool=pool)
             assert again.results == [{"value": 81, "seed": 0}]
         finally:
             pool.close()
@@ -93,8 +83,7 @@ class TestRecycling:
         try:
             result = run_campaign(
                 [_ok(1), CampaignTask("chaos_crash", {}), _ok(3)],
-                n_workers=2, timeout_s=10.0,
-                isolation="warm", warm_pool=pool,
+                n_workers=2, timeout_s=10.0, warm_pool=pool,
             )
             assert result.results[0] == {"value": 1, "seed": 0}
             assert result.results[2] == {"value": 9, "seed": 0}
@@ -113,22 +102,20 @@ class TestRecycling:
         try:
             result = run_campaign(
                 [CampaignTask("chaos_stubborn", {"sleep_s": 60.0})],
-                timeout_s=0.5, isolation="warm", warm_pool=pool,
+                timeout_s=0.5, warm_pool=pool,
             )
             (failure,) = result.failures
             assert failure.attempts[-1].outcome == "timeout"
             assert pool.n_recycled == 1
-            follow_up = run_campaign(
-                [_ok(2)], timeout_s=5.0, isolation="warm", warm_pool=pool
-            )
+            follow_up = run_campaign([_ok(2)], timeout_s=5.0, warm_pool=pool)
             assert follow_up.results == [{"value": 4, "seed": 0}]
         finally:
             pool.close()
 
     def test_completed_but_overdue_attempt_is_a_timeout(self):
-        # Same worker-clock rule as the process engine: a result that
-        # lands in the pipe after its deadline is a timeout, not a win.
-        result = run_campaign([_ok(3)], timeout_s=1e-9, isolation="warm")
+        # Worker-clock rule: a result that lands in the pipe after its
+        # deadline is a timeout, not a win.
+        result = run_campaign([_ok(3)], timeout_s=1e-9)
         assert result.results == [None]
         (failure,) = result.failures
         assert failure.attempts[-1].outcome == "timeout"
@@ -144,7 +131,7 @@ class TestRetries:
         )
         result = run_campaign(
             [task], n_workers=2, timeout_s=10.0,
-            max_attempts=3, backoff_base_s=0.01, isolation="warm",
+            max_attempts=3, backoff_base_s=0.01,
         )
         assert result.ok
         assert result.results[0]["value"] == 6
@@ -158,8 +145,7 @@ class TestPoolReuse:
             for round_ in range(3):
                 result = run_campaign(
                     [_analytic(100 * round_ + i) for i in range(4)],
-                    n_workers=2, timeout_s=30.0,
-                    isolation="warm", warm_pool=pool,
+                    n_workers=2, timeout_s=30.0, warm_pool=pool,
                 )
                 assert result.ok
             assert pool.n_spawned == 2
@@ -189,28 +175,14 @@ class TestPoolReuse:
 
 
 class TestIsolationSelection:
-    def test_env_var_selects_warm_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_ISOLATION", "warm")
+    def test_parallel_campaign_selects_warm_engine(self):
         result = run_campaign([_analytic(1), _analytic(2)], n_workers=2)
         assert result.ok
         assert result.stats.isolation == "warm"
 
-    def test_env_var_rejects_unknown_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_ISOLATION", "bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            run_campaign([_analytic(1)], timeout_s=5.0)
-
-    def test_explicit_arg_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_ISOLATION", "warm")
-        result = run_campaign(
-            [_analytic(1)], timeout_s=5.0, isolation="process"
-        )
-        assert result.ok
-        assert result.stats.isolation == "process"
-
     def test_unisolated_fast_path_ignores_warm(self):
         # No timeout, one worker: nothing to isolate, so the in-process
-        # fast path runs regardless of the requested engine.
-        result = run_campaign([_analytic(1)], isolation="warm")
+        # fast path runs instead of the warm pool.
+        result = run_campaign([_analytic(1)])
         assert result.ok
-        assert result.stats.isolation == "process"
+        assert result.stats.isolation == "serial"

@@ -169,7 +169,6 @@ class TestExecutionBudget:
             timeout_s=None,
             max_attempts=1,
             deadline_s=0.4,
-            isolation="process",
         )
         assert not result.ok
         assert result.failures[0].attempts[0].outcome == "timeout"

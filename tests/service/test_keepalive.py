@@ -140,7 +140,7 @@ class TestPersistentConnections:
                 ])
                 record, stats = _split_responses(raw)
                 assert record[2]["state"] == "done"
-                assert stats[2]["workers"]["isolation"] == "warm"
+                assert stats[2]["workers"]["warm"]["n_workers"] == 1
 
         asyncio.run(body())
 

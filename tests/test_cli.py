@@ -216,20 +216,10 @@ class TestIsolationFlags:
         assert _parse_tenant_spec("free:1").max_result_bytes is None
         assert _parse_tenant_spec("free:1:::256:").max_result_bytes is None
 
-    def test_serve_parser_accepts_isolation(self):
-        args = build_parser().parse_args(["serve", "--isolation", "process"])
-        assert args.isolation == "process"
-        assert build_parser().parse_args(["serve"]).isolation == "warm"
-
-    def test_campaign_isolation_flag_sets_env_default(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        import os
-
-        monkeypatch.delenv("REPRO_CAMPAIGN_ISOLATION", raising=False)
-        assert main(["explore-gear", "--width", "8", "--model",
-                     "monte-carlo", "--samples", "500", "--seed", "1",
-                     "--cache-dir", str(tmp_path / "c"),
-                     "--isolation", "warm"]) == 0
-        assert os.environ.get("REPRO_CAMPAIGN_ISOLATION") == "warm"
-        assert "max accuracy" in capsys.readouterr().out
+    def test_isolation_flags_are_rejected(self, capsys):
+        for argv in (["serve", "--isolation", "process"],
+                     ["campaign", "table4", "--isolation", "warm"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "--isolation" in capsys.readouterr().err
